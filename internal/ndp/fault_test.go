@@ -43,7 +43,9 @@ func faultRun(t *testing.T, d config.Design, app, spec string) *ndp.Result {
 
 // TestNoFaultGolden pins the no-fault results to the values produced by the
 // pre-fault-injection tree: an empty FaultPlan must leave every code path —
-// RNG draws, event ordering, cost arithmetic — untouched.
+// RNG draws, event ordering, cost arithmetic — untouched. The full
+// ResultHash table over every workload, design and fault plan is
+// TestGoldenResultHashes.
 func TestNoFaultGolden(t *testing.T) {
 	golden := []struct {
 		app                          string
