@@ -25,7 +25,6 @@ package abndp
 import (
 	"fmt"
 	"io"
-	"runtime"
 
 	"abndp/internal/apps"
 	"abndp/internal/ckpt"
@@ -243,14 +242,12 @@ func RunAppObserved(app App, d Design, cfg Config, o *Observer, tracer func(Task
 }
 
 // RunAppEngine is RunAppObserved with the simulation speed path selected
-// (docs/PERF.md): engine "" or "serial" is the golden single-goroutine
-// engine; "checkpoint" attaches a fresh checkpoint shard so repeated task
-// hints reuse memoized placement cost vectors; "parallel" additionally runs
-// workers background precompute goroutines warming the shard ahead of
-// placement (workers <= 0 picks half of GOMAXPROCS, at least one). Results
-// are byte-identical across engines — the checkpoint path changes how cost
-// vectors are computed, never their values.
-func RunAppEngine(app App, d Design, cfg Config, o *Observer, tracer func(TaskTrace), engine string, workers int) (*Result, error) {
+// (docs/PERF.md): engine "" or "serial" runs without a checkpoint store;
+// "checkpoint" attaches a fresh checkpoint shard so repeated task hints
+// reuse memoized placement cost vectors. Results are byte-identical across
+// engines — the store changes how cost vectors are obtained, never their
+// values.
+func RunAppEngine(app App, d Design, cfg Config, o *Observer, tracer func(TaskTrace), engine string) (*Result, error) {
 	if d == DesignH {
 		return nil, fmt.Errorf("abndp: design H is the host baseline; use RunHost")
 	}
@@ -261,19 +258,11 @@ func RunAppEngine(app App, d Design, cfg Config, o *Observer, tracer func(TaskTr
 	sys := ndp.NewSystem(cfg, d)
 	switch engine {
 	case "", "serial":
-	case "checkpoint", "parallel":
+	case "checkpoint":
 		store := ckpt.NewStore(0)
 		sys.SetCheckpoint(store.Shard(app.Name() + "|" + sys.Design.String() + "|" + sys.Cfg.PrefixKey()))
-		if engine == "parallel" {
-			if workers <= 0 {
-				if workers = runtime.GOMAXPROCS(0) / 2; workers < 1 {
-					workers = 1
-				}
-			}
-			sys.SetParallelWorkers(workers)
-		}
 	default:
-		return nil, fmt.Errorf("abndp: unknown engine %q (serial, checkpoint, parallel)", engine)
+		return nil, fmt.Errorf("abndp: unknown engine %q (serial, checkpoint)", engine)
 	}
 	if tracer != nil {
 		sys.SetTaskTracer(tracer)

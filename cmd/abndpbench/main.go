@@ -10,7 +10,7 @@
 //	abndpbench -serial         # one run at a time (same output, slower)
 //	abndpbench -benchjson f    # write harness wall-clock metrics to f
 //	abndpbench -check          # audit every run (invariants + dual-run hash)
-//	abndpbench -engine parallel -ckpt  # checkpoint store + precompute pool
+//	abndpbench -engine checkpoint  # placement-vector checkpoint store
 //	abndpbench -warmsweep      # cold-vs-warm re-simulation speedup sweep
 //	abndpbench -remote URL     # render on a running abndpserve instead
 //
@@ -50,9 +50,8 @@ func main() {
 		rdl    = flag.Duration("rundeadline", 0, "per-run wall-clock deadline; a run past it is recorded as hung and skipped (0 = the 10m default, negative disables)")
 		chk    = flag.Bool("check", false, "audit every run: invariant checker armed plus a dual-run determinism hash (roughly doubles simulation time; violations print and exit non-zero)")
 		remote = flag.String("remote", "", "fetch the experiments from a running abndpserve at this base URL (e.g. http://localhost:8080) instead of simulating locally")
-		engine = flag.String("engine", "serial", "simulation engine: 'serial' (golden default), 'checkpoint' (prefix-key store reuse), or 'parallel' (store + background precompute workers); results are byte-identical either way")
+		engine = flag.String("engine", "serial", "simulation engine: 'serial' (default, no store) or 'checkpoint' (prefix-key store reuse); results are byte-identical either way")
 		ckptOn = flag.Bool("ckpt", false, "shorthand for -engine checkpoint")
-		engj   = flag.Int("enginejobs", 0, "precompute workers per run for -engine parallel (0 = GOMAXPROCS/2, min 1)")
 		warm   = flag.Bool("warmsweep", false, "also run the cold-vs-warm re-simulation sweep (checkpoint/delta speedup measurement; result lands in -benchjson)")
 	)
 	flag.Parse()
@@ -111,17 +110,8 @@ func main() {
 	case "serial":
 	case "checkpoint":
 		r.SetCheckpointStore(ckpt.NewStore(0))
-	case "parallel":
-		r.SetCheckpointStore(ckpt.NewStore(0))
-		n := *engj
-		if n <= 0 {
-			if n = runtime.GOMAXPROCS(0) / 2; n < 1 {
-				n = 1
-			}
-		}
-		r.SetEngineParallel(n)
 	default:
-		fmt.Fprintf(os.Stderr, "abndpbench: unknown -engine %q (serial, checkpoint, parallel)\n", *engine)
+		fmt.Fprintf(os.Stderr, "abndpbench: unknown -engine %q (serial, checkpoint)\n", *engine)
 		os.Exit(2)
 	}
 

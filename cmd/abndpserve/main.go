@@ -55,7 +55,6 @@ func main() {
 		drainTO  = flag.Duration("draintimeout", 2*time.Minute, "graceful-drain bound on SIGTERM/SIGINT")
 		bjson    = flag.String("benchjson", "", "write harness metrics to this JSON file on shutdown")
 		ckptOn   = flag.Bool("ckpt", true, "share a checkpoint store across requests: jobs varying only late-binding scheduler knobs reuse earlier jobs' placement vectors (byte-identical results; docs/PERF.md)")
-		engJobs  = flag.Int("enginejobs", 0, "precompute workers per simulation (parallel engine; 0 disables, needs -ckpt)")
 		traceDir = flag.String("trace-dir", "", "write one Perfetto trace per executed job to this directory (serve-tier request spans + engine tracks, keyed by request ID)")
 		logFmt   = flag.String("log", "json", "structured log format on stderr: json or text")
 		logLevel = flag.String("log-level", "info", "minimum log level: debug, info, warn, error")
@@ -83,16 +82,15 @@ func main() {
 	}
 
 	srv := serve.New(serve.Config{
-		ID:            *id,
-		Workers:       workers,
-		QueueSize:     *queue,
-		RunDeadline:   *rdl,
-		Quick:         *quick,
-		Check:         *chk,
-		Checkpoint:    *ckptOn,
-		EngineWorkers: *engJobs,
-		TraceDir:      *traceDir,
-		Logger:        logger,
+		ID:          *id,
+		Workers:     workers,
+		QueueSize:   *queue,
+		RunDeadline: *rdl,
+		Quick:       *quick,
+		Check:       *chk,
+		Checkpoint:  *ckptOn,
+		TraceDir:    *traceDir,
+		Logger:      logger,
 	})
 
 	ln, err := net.Listen("tcp", *addr)

@@ -54,8 +54,7 @@ func main() {
 		perfetto = flag.String("perfetto", "", "write a Perfetto/Chrome trace-event JSON trace to this file")
 		metricsF = flag.String("metrics", "", "write phase-resolved observability metrics as CSV to this file")
 		sample   = flag.Int64("sample-interval", 1024, "counter-sampling interval in cycles for -perfetto")
-		engine   = flag.String("engine", "serial", "simulation engine: 'serial' (golden default), 'checkpoint' (placement-vector memoization), or 'parallel' (plus background precompute workers); results are byte-identical (docs/PERF.md)")
-		engJobs  = flag.Int("enginejobs", 0, "precompute workers for -engine parallel (0 = GOMAXPROCS/2)")
+		engine   = flag.String("engine", "serial", "simulation engine: 'serial' (default, no store) or 'checkpoint' (placement-vector memoization); results are byte-identical (docs/PERF.md)")
 		pprofSrv = flag.String("pprof", "", "serve pprof+expvar+Prometheus /metrics debug HTTP on this address (e.g. :6060)")
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile of the simulation to this file")
 		memprof  = flag.String("memprofile", "", "write a heap profile (taken after the run) to this file")
@@ -202,7 +201,7 @@ func main() {
 	}
 
 	simStart := time.Now()
-	res, err := abndp.RunAppEngine(app, d, cfg, o, tracer, *engine, *engJobs)
+	res, err := abndp.RunAppEngine(app, d, cfg, o, tracer, *engine)
 	if err != nil {
 		fatal(err)
 	}

@@ -73,10 +73,8 @@ type Runner struct {
 	// Checkpoint/delta engine wiring (speed.go in internal/ndp): with a
 	// store attached, every simulation gets the shard for its prefix key,
 	// so sweep points varying only late-binding knobs share placement
-	// work; engineWorkers > 0 additionally runs the parallel precompute
-	// pool inside each simulation (-engine=parallel).
-	store         *ckpt.Store
-	engineWorkers int
+	// work.
+	store *ckpt.Store
 
 	// Per-run wall-clock and engine event counts, keyed by cache key, plus
 	// per-experiment attribution (which runs each experiment referenced) —
@@ -129,17 +127,6 @@ func (r *Runner) SetCheckpointStore(s *ckpt.Store) {
 
 // Store returns the attached checkpoint store, or nil.
 func (r *Runner) Store() *ckpt.Store { return r.store }
-
-// SetEngineParallel selects the parallel engine path for every simulation:
-// n background precompute workers per run (0 restores the golden serial
-// engine). Takes effect only with a checkpoint store attached — the
-// workers' output lives in the store's shards.
-func (r *Runner) SetEngineParallel(n int) {
-	if n < 0 {
-		n = 0
-	}
-	r.engineWorkers = n
-}
 
 // SetWorkers fixes the worker-pool size for simulation runs: 1 executes
 // every run inline and serially (the pre-parallel behavior), 0 restores
@@ -304,15 +291,12 @@ func (r *Runner) timeExperiment(name string) func() {
 }
 
 // newSystem builds the System for one run, applying the Runner's
-// checkpoint/parallel engine settings and the spec's per-run observer
+// checkpoint store and the spec's per-run observer
 // (read-only instrumentation; results stay byte-identical either way).
 func (r *Runner) newSystem(spec runSpec) *ndp.System {
 	sys := ndp.NewSystem(spec.cfg, spec.d)
 	if r.store != nil {
 		sys.SetCheckpoint(r.store.Shard(spec.app + "|" + sys.Design.String() + "|" + sys.Cfg.PrefixKey()))
-		if r.engineWorkers > 0 {
-			sys.SetParallelWorkers(r.engineWorkers)
-		}
 	}
 	if spec.obsv != nil {
 		sys.SetObserver(spec.obsv)
@@ -333,11 +317,6 @@ func (r *Runner) simulate(k string, spec runSpec) *ndp.Result {
 	sys := r.newSystem(spec)
 	res := sys.Run(a)
 	r.noteRunStat(k, time.Since(start).Seconds(), res.Events)
-	if r.store != nil {
-		// Checkpoint path: recycle the tag arrays so the sweep's next
-		// System skips the dominant construction allocation.
-		sys.Recycle()
-	}
 	return res
 }
 

@@ -72,9 +72,10 @@ func (r *Runner) recordCheckViolations(k string, vs []check.Violation) {
 
 // checkedSimulate is simulate in check mode: the run executes audited, then
 // a plain rerun must hash identically. The audited run carries the Runner's
-// checkpoint/parallel engine settings while the rerun is always the bare
-// golden serial engine, so the meta.determinism hash comparison doubles as
-// the checkpoint-and-parallel parity assertion CI relies on. Like simulate
+// checkpoint store while the rerun never has one, so the meta.determinism
+// hash comparison doubles as the store-versus-no-store parity assertion.
+// Both runs use the same placement kernel; its correctness rests on the
+// golden ResultHash table and the kernel's oracle test. Like simulate
 // it is safe on worker goroutines — both Systems are private to the call,
 // and the shared violation list is mutex-protected.
 func (r *Runner) checkedSimulate(k string, spec runSpec) *ndp.Result {
@@ -91,9 +92,6 @@ func (r *Runner) checkedSimulate(k string, spec runSpec) *ndp.Result {
 	start := time.Now()
 	res := sys.Run(newApp())
 	r.noteRunStat(k, time.Since(start).Seconds(), res.Events)
-	if r.store != nil {
-		sys.Recycle() // checkpoint path: tag arrays feed the next audited run
-	}
 	plain := ndp.NewSystem(spec.cfg, spec.d).Run(newApp())
 
 	atomic.AddInt64(&r.checkedRuns, 1)

@@ -38,9 +38,8 @@ type Metrics struct {
 	EventsTotal  int64   `json:"events_total"`
 	EventsPerSec float64 `json:"events_per_sec"`
 
-	// Engine names the simulation path: "serial" (the golden default),
-	// "checkpoint" (store attached, no precompute workers), or
-	// "parallel" (store plus background precompute workers).
+	// Engine names the simulation path: "serial" (the default, no store)
+	// or "checkpoint" (store attached).
 	Engine string `json:"engine"`
 
 	// Checkpoint carries the store's counters when one is attached; the
@@ -103,14 +102,10 @@ func (m *Metrics) addRun() { atomic.AddInt64(&m.Runs, 1) }
 
 // engineName names the Runner's simulation path for the metrics JSON.
 func (r *Runner) engineName() string {
-	switch {
-	case r.store == nil:
+	if r.store == nil {
 		return "serial"
-	case r.engineWorkers > 0:
-		return "parallel"
-	default:
-		return "checkpoint"
 	}
+	return "checkpoint"
 }
 
 // Metrics snapshots the harness timings collected so far.

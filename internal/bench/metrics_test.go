@@ -87,10 +87,6 @@ func TestMetricsCheckpointCounters(t *testing.T) {
 	if m.InputCacheHits == 0 {
 		t.Fatalf("fig17 sweep shares one input; expected input cache hits, got %d", m.InputCacheHits)
 	}
-	r.SetEngineParallel(2)
-	if got := r.engineName(); got != "parallel" {
-		t.Fatalf("engine %q, want parallel", got)
-	}
 }
 
 // The warm sweep must produce matching hashes and a speedup > 1 even at

@@ -25,7 +25,10 @@ type WarmSweepMetrics struct {
 	ColdSeconds  float64 `json:"cold_seconds"`
 	PrimeSeconds float64 `json:"prime_seconds"` // first point, filling the shard
 	WarmSeconds  float64 `json:"warm_seconds"`  // remaining points, reusing it
-	Speedup      float64 `json:"speedup"`       // cold / (prime + warm)
+	// Speedup is cold / (prime + warm). Every point but the first cold one
+	// reuses recycled Traveller tag arrays, so it measures the checkpoint
+	// store and input cache, not tag-array allocation.
+	Speedup float64 `json:"speedup"`
 
 	HashesMatch bool `json:"hashes_match"`
 
@@ -71,8 +74,9 @@ func (r *Runner) RunWarmSweep() *WarmSweepMetrics {
 	m := &WarmSweepMetrics{App: warmSweepApp, Design: d.String(), Points: len(cfgs), HashesMatch: true}
 
 	// Cold baseline: no store, no input cache, and an empty tag-array pool
-	// (earlier checkpoint runs could have stocked it) — the pre-checkpoint
-	// engine pays full System construction cost every point.
+	// (earlier runs stocked it), so the first cold point pays full System
+	// construction cost. Every run returns its tag arrays to the pool, so
+	// the later cold points reuse them like the warm points do.
 	traveller.DrainPool()
 	apps.EnableInputCache(false)
 	coldHashes := make([]uint64, len(cfgs))
@@ -84,19 +88,15 @@ func (r *Runner) RunWarmSweep() *WarmSweepMetrics {
 		coldHashes[i] = ndp.ResultHash(res)
 	}
 
-	// Warm path: fresh store; point 0 primes the prefix shard (optionally
-	// with the parallel precompute pool), the rest reuse it.
+	// Warm path: fresh store; point 0 primes the prefix shard, the rest
+	// reuse it.
 	store := ckpt.NewStore(0)
 	apps.EnableInputCache(true)
 	for i, cfg := range cfgs {
 		sys := ndp.NewSystem(cfg, d)
 		sys.SetCheckpoint(store.Shard(warmSweepApp + "|" + d.String() + "|" + cfg.PrefixKey()))
-		if i == 0 && r.engineWorkers > 0 {
-			sys.SetParallelWorkers(r.engineWorkers)
-		}
 		start := time.Now()
 		res := sys.Run(newApp())
-		sys.Recycle() // the next point reuses these tag arrays
 		wall := time.Since(start).Seconds()
 		if i == 0 {
 			m.PrimeSeconds = wall

@@ -35,7 +35,6 @@ func BenchmarkWarmPoint(b *testing.B) {
 		sys := ndp.NewSystem(c, d)
 		sys.SetCheckpoint(store.Shard(warmSweepApp + "|" + d.String() + "|" + c.PrefixKey()))
 		sys.Run(newApp())
-		sys.Recycle()
 	}
 	prime(cfg)
 	b.ResetTimer()

@@ -247,10 +247,10 @@ func (sh *Shard) MemVec(hash uint64, lines []mem.Line) []float64 {
 	return e.vec
 }
 
-// PutMemVec stores a hint's cost vector. The shard takes ownership of both
-// slices; callers pass copies they will not touch again. Duplicate inserts
-// (two workers racing on the same hint) keep the first entry — both hold
-// identical bits, so which one wins is unobservable.
+// PutMemVec stores a hint's cost vector. The shard copies both slices when
+// it keeps the entry, so callers may pass scratch buffers. Duplicate
+// inserts (two runs racing on the same hint) keep the first entry — both
+// hold identical bits, so which one wins is unobservable.
 func (sh *Shard) PutMemVec(hash uint64, lines []mem.Line, vec []float64) {
 	sh.mu.RLock()
 	gone := sh.evicted
@@ -276,7 +276,11 @@ func (sh *Shard) PutMemVec(hash uint64, lines []mem.Line, vec []float64) {
 			return
 		}
 	}
-	sh.vecs[hash] = &vecEntry{lines: lines, vec: vec, next: sh.vecs[hash]}
+	sh.vecs[hash] = &vecEntry{
+		lines: append([]mem.Line(nil), lines...),
+		vec:   append([]float64(nil), vec...),
+		next:  sh.vecs[hash],
+	}
 	sh.bytes += n
 	sh.mu.Unlock()
 	sh.inserts.Add(1)

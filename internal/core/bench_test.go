@@ -26,17 +26,20 @@ func BenchmarkNearest(b *testing.B) {
 	}
 }
 
-func BenchmarkMemCostCampAware(b *testing.B) {
+var vecSink []float64
+
+// BenchmarkMemCostVec times one all-units costmem evaluation of a 16-line
+// hint on the default 4x4 mesh, camp-aware; it must not allocate.
+func BenchmarkMemCostVec(b *testing.B) {
 	e, cm := newEnv(true)
 	model := NewCostModel(e.noc, cm, true)
 	lines := make([]mem.Line, 16)
 	for i := range lines {
 		lines[i] = mem.Line(i * 131071)
 	}
-	flat, cands := model.Candidates(lines, nil, nil)
-	_ = flat
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		model.MemCost(cands, topology.UnitID(i%128))
+		vecSink = model.MemCostVec(lines)
 	}
 }

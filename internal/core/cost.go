@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"abndp/internal/mem"
 	"abndp/internal/noc"
 	"abndp/internal/topology"
@@ -29,6 +31,23 @@ type CostModel struct {
 	// hold data; costmem must not credit them as data locations. Homes stay
 	// valid — a dead unit's memory stack still serves its channel.
 	dead []bool
+
+	// The per-stack kernel (MemCostVec). The latency from unit u to a
+	// location l is 0 when u == l and otherwise depends only on the two
+	// stacks, so stackLat[a*stacks+b] holds it for distinct units in
+	// stacks a and b, and stackOf maps a unit to its stack.
+	stacks   int
+	stackOf  []int
+	stackLat []int64
+
+	// Kernel scratch, reused across calls: the CostModel belongs to one
+	// System and is driven by its single simulation goroutine.
+	locs     []topology.UnitID
+	locStack []int
+	stackMin []int64
+	stackSum []int64
+	corr     []int64
+	vec      []float64
 }
 
 // SetDeadMask installs the fault layer's dead-unit mask (aliased, updated
@@ -39,108 +58,138 @@ func (c *CostModel) SetDeadMask(dead []bool) { c.dead = dead }
 // place data at camp locations (designs C-series caching is present *and*
 // the policy knows it — design O) or only at homes (B, Sm, Sl, Sh).
 func NewCostModel(n *noc.Model, camps *CampMap, campAware bool) *CostModel {
-	return &CostModel{
+	topo := n.Topology()
+	units, stacks := topo.Units(), topo.Stacks()
+	c := &CostModel{
 		noc:         n,
 		camps:       camps,
 		campAware:   campAware,
 		campPenalty: n.InterHopCycles() / 2,
+		stacks:      stacks,
+		stackOf:     make([]int, units),
+		stackLat:    make([]int64, stacks*stacks),
+		locs:        make([]topology.UnitID, 0, topo.Groups()),
+		locStack:    make([]int, 0, topo.Groups()),
+		stackMin:    make([]int64, stacks),
+		stackSum:    make([]int64, stacks),
+		corr:        make([]int64, units),
+		vec:         make([]float64, units),
 	}
+	// Derive the stack-pair table from the NoC's own unit latencies and
+	// check that it reproduces every off-diagonal entry, so the kernel is
+	// exact for any topology the NoC model builds.
+	for u := range c.stackOf {
+		c.stackOf[u] = int(topo.StackOf(topology.UnitID(u)))
+	}
+	for i := range c.stackLat {
+		c.stackLat[i] = -1 // not yet seen; latencies are non-negative
+	}
+	for u := 0; u < units; u++ {
+		for l := 0; l < units; l++ {
+			if u == l {
+				continue
+			}
+			i := c.stackOf[u]*stacks + c.stackOf[l]
+			lat := n.Latency(topology.UnitID(u), topology.UnitID(l))
+			if c.stackLat[i] < 0 {
+				c.stackLat[i] = lat
+			} else if c.stackLat[i] != lat {
+				panic(fmt.Sprintf("core: latency %d->%d = %d differs from its stack pair's %d",
+					u, l, lat, c.stackLat[i]))
+			}
+		}
+	}
+	return c
 }
 
 // CampAware reports whether camp locations participate in costmem.
 func (c *CostModel) CampAware() bool { return c.campAware }
 
-// Candidates resolves each line to its possible data locations, reusing
-// the two provided buffers. The returned outer slice aliases locBuf2D.
-// When not camp-aware each line has exactly one candidate (its home).
-func (c *CostModel) Candidates(lines []mem.Line, flat []topology.UnitID, outer [][]topology.UnitID) ([]topology.UnitID, [][]topology.UnitID) {
-	flat = flat[:0]
-	outer = outer[:0]
-	for _, l := range lines {
-		start := len(flat)
-		if c.campAware {
-			flat = c.camps.AppendLocations(flat, l)
-		} else {
-			flat = append(flat, c.camps.Home(l))
-		}
-		outer = append(outer, flat[start:len(flat):len(flat)])
-	}
-	return flat, outer
-}
-
-// MemCost returns costmem(t, u) in cycles for a task whose accessed lines
-// have the given candidate location sets (from Candidates). The first
-// candidate of each line is its home; the rest are camps and carry the camp
-// penalty.
-func (c *CostModel) MemCost(cands [][]topology.UnitID, u topology.UnitID) float64 {
-	if len(cands) == 0 {
-		return 0
-	}
-	var sum int64
-	for _, locs := range cands {
-		best := c.noc.Latency(u, locs[0])
-		for _, loc := range locs[1:] {
-			if c.dead != nil && c.dead[loc] {
-				continue // dead camp: its slice holds no data
-			}
-			if lat := c.noc.Latency(u, loc) + c.campPenalty; lat < best {
-				best = lat
-			}
-		}
-		sum += best
-	}
-	return float64(sum) / float64(len(cands))
-}
-
-// MemCostLines is the convenience form of MemCost for tests and one-off
-// calls; hot paths should reuse buffers via Candidates.
-func (c *CostModel) MemCostLines(lines []mem.Line, u topology.UnitID) float64 {
-	_, cands := c.Candidates(lines, nil, nil)
-	return c.MemCost(cands, u)
-}
-
-// DeadFree reports whether no dead-unit mask is installed. Only then is
-// costmem a pure function of (lines, unit) — the precondition for caching
-// or precomputing MemCostVec results.
-func (c *CostModel) DeadFree() bool { return c.dead == nil }
-
-// MemCostVec returns costmem(t, u) for every unit u at once, bit-identical
-// to calling Candidates+MemCost per unit: the per-line minimum is exact
-// integer arithmetic, lines accumulate into an int64 sum in hint order,
-// and the float division happens once per unit at the end — the same
-// operations in the same order as MemCost.
+// MemCostVec returns costmem(t, u) — the mean over the hint's lines of the
+// latency from u to the line's nearest data location — for every unit u
+// at once. Locations are the home, plus, when camp-aware, every live camp
+// carrying the camp penalty; dead camps are skipped, dead homes stay valid.
 //
-// It must only be called when DeadFree() holds (it performs no dead-camp
-// filtering); callers fall back to MemCost under fault masks.
+// Per line the kernel takes one minimum per stack instead of one per unit:
+// every unit of stack s that holds none of the line's locations sees the
+// same minimum over the stack-pair table. The at most C+1 units that hold
+// a location (all distinct: one per group) get an exact per-unit
+// correction. Sums stay int64 in per-stack and per-unit parts, and each
+// unit's float division happens once at the end, so every entry is the
+// same integer over the same divisor as evaluating the unit on its own.
+//
+// The returned slice is scratch owned by the model: it is valid until the
+// next call and must be copied to be kept.
 func (c *CostModel) MemCostVec(lines []mem.Line) []float64 {
-	units := c.noc.Topology().Units()
-	vec := make([]float64, units)
+	vec, sums, mins, corr := c.vec, c.stackSum, c.stackMin, c.corr
 	if len(lines) == 0 {
+		clear(vec)
 		return vec
 	}
-	sums := make([]int64, units)
-	var locBuf [16]topology.UnitID
+	clear(sums)
+	clear(corr)
+	stacks, lat, pen := c.stacks, c.stackLat, c.campPenalty
 	for _, l := range lines {
-		locs := locBuf[:0]
+		locs := c.locs[:0]
 		if c.campAware {
 			locs = c.camps.AppendLocations(locs, l)
+			if c.dead != nil {
+				live := locs[:1]
+				for _, loc := range locs[1:] {
+					if !c.dead[loc] {
+						live = append(live, loc)
+					}
+				}
+				locs = live
+			}
 		} else {
 			locs = append(locs, c.camps.Home(l))
 		}
-		for u := 0; u < units; u++ {
-			uid := topology.UnitID(u)
-			best := c.noc.Latency(uid, locs[0])
-			for _, loc := range locs[1:] {
-				if lat := c.noc.Latency(uid, loc) + c.campPenalty; lat < best {
-					best = lat
+		ls := c.locStack[:0]
+		for _, loc := range locs {
+			ls = append(ls, c.stackOf[loc])
+		}
+		c.locs, c.locStack = locs, ls
+
+		// Units holding no location: one minimum per stack.
+		for s := 0; s < stacks; s++ {
+			row := lat[s*stacks : (s+1)*stacks]
+			best := row[ls[0]]
+			for i := 1; i < len(ls); i++ {
+				if v := row[ls[i]] + pen; v < best {
+					best = v
 				}
 			}
-			sums[u] += best
+			mins[s] = best
+			sums[s] += best
+		}
+		// Units holding a location: their own location is at latency 0
+		// (plus the penalty if it is a camp), so they replace their
+		// stack's minimum with their own.
+		for i, u := range locs {
+			row := lat[ls[i]*stacks : (ls[i]+1)*stacks]
+			var best int64
+			if i > 0 {
+				best = pen
+			}
+			for j := range locs {
+				if j == i {
+					continue
+				}
+				v := row[ls[j]]
+				if j > 0 {
+					v += pen
+				}
+				if v < best {
+					best = v
+				}
+			}
+			corr[u] += best - mins[ls[i]]
 		}
 	}
 	n := float64(len(lines))
 	for u := range vec {
-		vec[u] = float64(sums[u]) / n
+		vec[u] = float64(sums[c.stackOf[u]]+corr[u]) / n
 	}
 	return vec
 }

@@ -49,14 +49,8 @@ func (c *ExecCtx) Unit() topology.UnitID { return c.unit }
 func (c *ExecCtx) Now() int64 { return c.sys.Engine.Now() }
 
 // Enqueue emits a child task for the next timestamp. The runtime schedules
-// it at the end of the current timestamp. Under the parallel engine the
-// hint is also handed to the precompute pool here — placement happens at
-// the earliest when this task's parent completes, giving workers the
-// execution latency as lookahead.
+// it at the end of the current timestamp.
 func (c *ExecCtx) Enqueue(t *task.Task) {
-	if c.sys.par != nil {
-		c.sys.par.submit(t.Hint.Lines)
-	}
 	c.children = append(c.children, t)
 }
 

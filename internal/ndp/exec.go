@@ -7,7 +7,9 @@ import (
 	"abndp/internal/topology"
 )
 
-// app is stored on the System for the duration of one Run.
+// Run simulates app to completion and returns its result. app is stored on
+// the System for the duration of the run. A System runs once: Run returns
+// its Traveller tag arrays to the pool as it returns.
 func (s *System) Run(app App) *Result {
 	s.app = app
 	if s.observer != nil {
@@ -19,41 +21,26 @@ func (s *System) Run(app App) *Result {
 	// if created by a loader there, and are placed by that unit's
 	// scheduler. Loading is slow relative to the exchange interval, so the
 	// load snapshots refresh periodically throughout the emission.
-	//
-	// Emission is collected first and placed second. The placement loop
-	// below is byte-identical to placing inside the callback — apps only
-	// construct tasks during InitialTasks, so the Exchange/place
-	// interleaving over trueW is unchanged — and the split gives the
-	// parallel precompute pool the full hint set before the placement
-	// kernel starts consuming vectors.
-	var initial []*task.Task
+	var emitted int
 	app.InitialTasks(func(t *task.Task) {
-		t.TS = 0
-		t.Origin = s.Camps.Home(t.Hint.Lines[0])
-		if s.par != nil {
-			s.par.submit(t.Hint.Lines)
-		}
-		initial = append(initial, t)
-	})
-	for i, t := range initial {
-		if i%len(s.units) == 0 {
+		if emitted%len(s.units) == 0 {
 			s.Sched.Exchange(s.trueW)
 		}
+		emitted++
+		t.TS = 0
+		t.Origin = s.Camps.Home(t.Hint.Lines[0])
 		s.placeTask(t, t.Origin)
 		s.pending = append(s.pending, t)
 		if s.audit != nil {
 			s.auditSpawned++
 		}
-	}
+	})
 
 	s.curTS = -1
 	s.startTimestamp()
 	s.scheduleExchange()
 	s.scheduleUtilSample()
 	s.Engine.Run()
-	if s.par != nil {
-		s.par.close()
-	}
 	if !s.finished {
 		panic("ndp: simulation drained events with tasks outstanding")
 	}
@@ -62,7 +49,21 @@ func (s *System) Run(app App) *Result {
 	if s.audit != nil {
 		s.auditResult(res)
 	}
+	s.releaseCaches()
 	return res
+}
+
+// releaseCaches returns every unit's Traveller tag arrays to the traveller
+// package's geometry pool, where the next same-shaped System reuses them
+// without allocating or zeroing — the dominant construction cost. It runs
+// once finalize, the observer and the audit, the last readers of the
+// caches, are done; a probe after it counts as a dead probe.
+func (s *System) releaseCaches() {
+	for _, u := range s.units {
+		if u.cache != nil {
+			u.cache.Release()
+		}
+	}
 }
 
 // placeTask runs the scheduling policy for t from origin's scheduler and

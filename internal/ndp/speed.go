@@ -2,7 +2,6 @@ package ndp
 
 import (
 	"abndp/internal/ckpt"
-	"abndp/internal/mem"
 	"abndp/internal/task"
 )
 
@@ -15,7 +14,7 @@ import (
 // prefix key alone does not pin.
 //
 // Attaching a shard never changes simulation output: stored vectors are
-// bit-identical to inline evaluation (core.MemCostVec), lookups verify the
+// bit-identical to the kernel's (core.MemCostVec), lookups verify the
 // full hint line list, and the scheduler bypasses the source whenever a
 // fault plan installs a dead-unit mask. Passing nil detaches.
 func (s *System) SetCheckpoint(sh *ckpt.Shard) {
@@ -31,9 +30,10 @@ func (s *System) SetCheckpoint(sh *ckpt.Shard) {
 func (s *System) Checkpoint() *ckpt.Shard { return s.ckptShard }
 
 // costVecFor is the scheduler's cost-vector source: store hit, else compute
-// inline and memoize. The scheduler only calls it with no dead mask in
-// force, which is exactly MemCostVec's precondition. The stored copy owns
-// its own line slice — t's hint lines are recycled across barriers.
+// with the kernel and memoize. The scheduler only calls it with no dead
+// mask in force, when costmem is a pure function of the hint. The shard
+// copies what it keeps — the kernel's vector is scratch, and t's hint
+// lines are recycled across barriers.
 func (s *System) costVecFor(t *task.Task) []float64 {
 	lines := t.Hint.Lines
 	h := ckpt.HashLines(lines)
@@ -41,35 +41,6 @@ func (s *System) costVecFor(t *task.Task) []float64 {
 		return v
 	}
 	v := s.Cost.MemCostVec(lines)
-	s.ckptShard.PutMemVec(h, append([]mem.Line(nil), lines...), v)
+	s.ckptShard.PutMemVec(h, lines, v)
 	return v
-}
-
-// SetParallelWorkers enables the partitioned parallel engine path: n
-// background workers precompute placement cost vectors into the attached
-// checkpoint shard while the (still strictly serial, still deterministic)
-// event loop consumes them. The event queue itself is never sharded — the
-// mesh/DRAM backlog coupling gives this model zero safe lookahead, so
-// parallelism lives in the one kernel that is a pure function of the hint
-// (see docs/PERF.md). Output stays byte-identical: workers only ever store
-// values the serial path would compute itself.
-//
-// Requires a checkpoint shard (SetCheckpoint) and no fault plan; otherwise
-// it is a no-op and the run stays fully serial. Call before Run.
-func (s *System) SetParallelWorkers(n int) {
-	if n <= 0 || s.ckptShard == nil || !s.Cost.DeadFree() {
-		return
-	}
-	s.par = newPrecompute(s.ckptShard, s.Cost, n)
-}
-
-// ParallelStats reports the precompute pool's submit counters (zero values
-// when the parallel path is off): hints handed to workers and hints dropped
-// because the queue was full (dropped hints are computed inline instead —
-// a throughput loss, never a correctness one).
-func (s *System) ParallelStats() (submitted, dropped int64) {
-	if s.par == nil {
-		return 0, 0
-	}
-	return s.par.submitted, s.par.dropped
 }

@@ -126,11 +126,9 @@ type System struct {
 	taskPool  task.Pool
 	retired   []*task.Task
 
-	// Checkpoint/delta re-simulation (internal/ckpt) and the parallel
-	// precompute pool. Both nil by default: every probe site is a nil check,
-	// and a nil-shard run is the golden serial path. See speed.go.
+	// Checkpoint/delta re-simulation (internal/ckpt). Nil by default: the
+	// probe site is a nil check. See speed.go.
 	ckptShard *ckpt.Shard
-	par       *precompute
 
 	// Cached energy constants (pJ) and latencies (cycles).
 	sramHitCycles int64
@@ -210,21 +208,6 @@ func NewSystem(cfg config.Config, design config.Design) *System {
 		s.armFaults()
 	}
 	return s
-}
-
-// Recycle returns every unit's traveller tag arrays to the traveller
-// package's geometry pool, where the next same-shaped System reuses them
-// without re-allocating (or re-zeroing) — the dominant construction cost
-// at full scale. The System must not be used after Recycle; call it only
-// once the Result has been extracted. Only the checkpoint/delta
-// re-simulation path recycles between sweep points; cold runs never call
-// it, so their allocation behavior is unchanged.
-func (s *System) Recycle() {
-	for _, u := range s.units {
-		if u.cache != nil {
-			u.cache.Release()
-		}
-	}
 }
 
 // Units returns the number of NDP units.

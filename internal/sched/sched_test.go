@@ -95,6 +95,12 @@ func TestLowestDistanceSingleLine(t *testing.T) {
 	}
 }
 
+// memCost is costmem(lines, u) from the kernel, which the core package
+// checks bit for bit against its per-unit reference.
+func memCost(cost *core.CostModel, lines []mem.Line, u topology.UnitID) float64 {
+	return cost.MemCostVec(lines)[u]
+}
+
 func TestLowestDistanceIsArgmin(t *testing.T) {
 	e := newEnv()
 	s := e.scheduler("lowestdist", false)
@@ -102,9 +108,9 @@ func TestLowestDistanceIsArgmin(t *testing.T) {
 	lines := []mem.Line{e.lineOn(3), e.lineOn(77), e.lineOn(120)}
 	tsk := &task.Task{Hint: task.Hint{Lines: lines}}
 	got := s.Place(tsk, 0)
-	gotCost := cost.MemCostLines(lines, got)
+	gotCost := memCost(cost, lines, got)
 	for u := 0; u < e.topo.Units(); u++ {
-		if c := cost.MemCostLines(lines, topology.UnitID(u)); c < gotCost {
+		if c := memCost(cost, lines, topology.UnitID(u)); c < gotCost {
 			t.Fatalf("unit %d has cost %v < chosen %d's %v", u, c, got, gotCost)
 		}
 	}
@@ -229,11 +235,11 @@ func TestCampAwarePlacementCanBeatHomeDistance(t *testing.T) {
 	got := aware.Place(&task.Task{Hint: task.Hint{Lines: lines}}, 0)
 	bestHome := 1e18
 	for u := 0; u < e.topo.Units(); u++ {
-		if c := costHome.MemCostLines(lines, topology.UnitID(u)); c < bestHome {
+		if c := memCost(costHome, lines, topology.UnitID(u)); c < bestHome {
 			bestHome = c
 		}
 	}
-	if c := cost.MemCostLines(lines, got); c > bestHome {
+	if c := memCost(cost, lines, got); c > bestHome {
 		t.Fatalf("camp-aware cost %v worse than best home-only %v", c, bestHome)
 	}
 }
@@ -300,8 +306,8 @@ func TestScoreHookObservesWithoutPerturbing(t *testing.T) {
 		if d.origin != origin || d.target != b {
 			t.Fatalf("case %d: hook saw (%d -> %d), want (%d -> %d)", i, d.origin, d.target, origin, b)
 		}
-		if d.mem != cost.MemCostLines(lines, b) {
-			t.Fatalf("case %d: hook mem cost %v != recomputed %v", i, d.mem, cost.MemCostLines(lines, b))
+		if d.mem != memCost(cost, lines, b) {
+			t.Fatalf("case %d: hook mem cost %v != recomputed %v", i, d.mem, memCost(cost, lines, b))
 		}
 	}
 	if len(seen) != n {

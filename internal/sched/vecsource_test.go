@@ -13,10 +13,10 @@ import (
 
 // TestCostVecSourcePlacementIdentical drives two schedulers through the
 // same randomized decision stream — identical tasks, load snapshots, and
-// origins — one evaluating costmem inline and one through a precomputed
-// MemCostVec source. Every placement must match: this is the sched-layer
-// half of the checkpoint-parity guarantee (the end-to-end half is the
-// result-hash test in the root package).
+// origins — one running the kernel itself and one reading memoized
+// MemCostVec copies from a source. Every placement must match: this is the
+// sched-layer half of the checkpoint-parity guarantee (the end-to-end half
+// is the result-hash test in the root package).
 func TestCostVecSourcePlacementIdentical(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
@@ -38,7 +38,7 @@ func TestCostVecSourcePlacementIdentical(t *testing.T) {
 				key := fmt.Sprint(tk.Hint.Lines)
 				v, ok := vecs[key]
 				if !ok {
-					v = model.MemCostVec(tk.Hint.Lines)
+					v = append([]float64(nil), model.MemCostVec(tk.Hint.Lines)...)
 					vecs[key] = v
 				} else {
 					hits++
@@ -83,10 +83,11 @@ func TestCostVecSourcePlacementIdentical(t *testing.T) {
 func TestCostVecSourceIgnoredUnderDeadMask(t *testing.T) {
 	e := newEnv()
 	s := e.scheduler("hybrid", true)
+	model := core.NewCostModel(e.noc, e.camps, true)
 	called := false
 	s.SetCostVecSource(func(tk *task.Task) []float64 {
 		called = true
-		return nil
+		return model.MemCostVec(tk.Hint.Lines)
 	})
 	dead := make([]bool, e.topo.Units())
 	dead[3] = true

@@ -89,9 +89,6 @@ type Config struct {
 	// the placement cost vectors of earlier jobs with the same prefix key
 	// (docs/PERF.md). Results stay byte-identical.
 	Checkpoint bool
-	// EngineWorkers > 0 additionally runs that many precompute workers
-	// inside each simulation (the parallel engine; needs Checkpoint).
-	EngineWorkers int
 	// TraceDir, when set, writes one Perfetto trace per executed job to
 	// <TraceDir>/<job-id>.trace.json: the serve-tier request spans (submit,
 	// queue wait, run) and the engine's task spans and counter tracks on
@@ -209,7 +206,6 @@ func New(cfg Config) *Server {
 	r.SetCheck(cfg.Check)
 	if cfg.Checkpoint {
 		r.SetCheckpointStore(ckpt.NewStore(0))
-		r.SetEngineParallel(cfg.EngineWorkers)
 	}
 
 	logger := cfg.Logger

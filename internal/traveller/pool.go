@@ -7,19 +7,19 @@ import (
 )
 
 // One cache's tag arrays are sets*ways entries of line, epoch, and (under
-// LRU) recency state — on a full-scale system that is tens of MiB per
-// System, and allocating plus zeroing them dominates System construction.
-// Re-simulation sweeps construct and discard a System per sweep point, so
-// the checkpoint/delta path recycles tag arrays through a per-geometry
-// pool instead of re-allocating them.
+// LRU) recency state — close to 200 MB per System on the default
+// configuration, and allocating plus zeroing them dominates System
+// construction.
+// Every ndp.System.Run releases its caches' arrays into a per-geometry
+// pool as it returns, so the next System of the same shape in the process
+// reuses them instead of allocating.
 //
 // Correctness never depends on recycled contents: validity is epoch-gated,
 // so a recycled array is indistinguishable from what InvalidateAll leaves
 // behind — stale lines of invalid entries are never read, and stale
 // recency ranks stay in [0, ways) because the pool is keyed by geometry.
-// Nothing enters a pool until a caller opts in via Release; code that
-// never releases (the cold baseline, every pre-existing entry point)
-// allocates exactly as before.
+// The pool is a sync.Pool, so the garbage collector may drop idle arrays;
+// the next cache then allocates fresh ones.
 
 // geometry keys a pool: arrays are only reused by a cache of the same
 // shape, which is what keeps stale recency ranks in range for the audit.
@@ -75,8 +75,8 @@ func acquire(sets, ways int, useLRU bool) *tagArrays {
 
 // Release returns the cache's tag arrays to the geometry pool for the next
 // same-shaped Cache to reuse, and permanently disables the cache (a probe
-// after Release counts as a dead probe, like a killed unit's). Only the
-// checkpoint/delta re-simulation path releases, via ndp.System.Recycle.
+// after Release counts as a dead probe, like a killed unit's). ndp.System
+// releases every cache at the end of Run.
 func (c *Cache) Release() {
 	if c.lines == nil {
 		return
@@ -89,8 +89,8 @@ func (c *Cache) Release() {
 
 // DrainPool empties every geometry pool so the next Cache allocates fresh
 // arrays. The warm-sweep measurement calls it before its cold baseline
-// loop (cold must pay full allocation cost even if earlier checkpoint runs
-// stocked the pool); tests use it for isolation.
+// loop, so the first cold point pays full allocation cost; tests use it
+// for isolation.
 func DrainPool() {
 	pools.Range(func(k, _ any) bool {
 		pools.Delete(k)
